@@ -1,7 +1,7 @@
 //! Criterion benchmarks of chained graph inference: the float and quantized
 //! ResNet-20 graph forward passes, the serving-style cached quantized run
-//! against a cold (calibrate + prepare per node) run, and the U-Net
-//! encoder–decoder with its skip concats.
+//! against a cold (calibrate + prepare per node) run and the direct
+//! reference, and the U-Net encoder–decoder with its skip concats.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
@@ -37,13 +37,12 @@ fn bench_graph_forward(c: &mut Criterion) {
         })
     });
 
-    // The pre-tap-major execution (per-tile kernels, no conv→ReLU fusion):
-    // the end-to-end baseline the tap-major rewrite is measured against.
-    let legacy = GraphExecutor::quantized(cfg).legacy();
-    let legacy_prepared = legacy.prepare(&graph, &opts);
-    let _ = legacy.run(&legacy_prepared);
-    group.bench_function("resnet20_quant_legacy_per_tile", |b| {
-        b.iter(|| legacy.run(&legacy_prepared))
+    // The direct-convolution reference executor: the end-to-end baseline
+    // the Winograd executors are measured against.
+    let reference = GraphExecutor::reference();
+    let reference_prepared = reference.prepare(&graph, &opts);
+    group.bench_function("resnet20_reference_direct", |b| {
+        b.iter(|| reference.run(&reference_prepared))
     });
 
     let unet = unet_graph(32).with_channel_div(8);

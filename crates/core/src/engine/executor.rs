@@ -1,414 +1,42 @@
-//! Whole-network execution through the engine.
-//!
-//! The layer inventories in `wino_nets` describe geometry only; the executor
-//! materialises real tensors for every layer (seeded Kaiming weights, Gaussian
-//! activations at the layer's input resolution), runs each one through the
-//! backend the [`Planner`] chose, and reports per-layer kernels, shapes and
-//! wall-clock times. Layers are executed independently rather than chained:
-//! the inventories contain branches (residual adds, FPN merges) that a flat
-//! layer list cannot express, and independent execution keeps every layer's
-//! input at its published shape.
+//! Per-node dispatch tests of [`crate::GraphExecutor`]: every node of a
+//! small network graph runs, and every conv node runs the backend of the
+//! kernel its plan requests, with strided layers on im2col.
 
-use crate::engine::planner::{ExecutionPlan, Planner};
-use crate::engine::Engine;
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-use wino_nets::{ConvLayer, Kernel, Network};
-use wino_tensor::{kaiming_normal, normal, Tensor};
-
-/// A shape-keyed, byte-bounded cache of synthesized tensors.
-///
-/// The executors run layers and graphs on synthesized activations and
-/// weights; benchmark inventories repeat the same shapes over and over
-/// (ResNet-34 alone instantiates six identical 56×56/64-channel layers), and
-/// re-running the RNG for every invocation dominated `run_layer` on small
-/// layers. The cache keys on (distribution, dims, seed) and hands out cheap
-/// [`Arc`] clones; both [`NetworkExecutor::run_layer`] and the graph
-/// executor's prepare step draw from it.
-///
-/// Insertion evicts the oldest entries once the byte budget (default
-/// [`SynthCache::DEFAULT_BUDGET`]) is exceeded, so a long-lived executor
-/// sweeping many graphs or seeds cannot grow without bound; eviction only
-/// drops the cache's own reference — tensors held by live prepared graphs
-/// stay alive through their `Arc`s.
-#[derive(Debug)]
-pub struct SynthCache {
-    inner: Mutex<SynthInner>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-}
-
-/// Cache key: (is-Kaiming, dims, seed).
-type SynthKey = (bool, Vec<usize>, u64);
-
-/// Point-in-time counters of a [`SynthCache`].
-///
-/// A public snapshot so the serving stats and the benches can report cache
-/// effectiveness without reaching into executor internals.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SynthStats {
-    /// Requests served from the cache.
-    pub hits: usize,
-    /// Requests that ran the synthesizer.
-    pub misses: usize,
-    /// Tensors currently cached.
-    pub entries: usize,
-    /// Bytes of tensor data currently cached.
-    pub bytes: usize,
-}
-
-impl SynthStats {
-    /// Hits as a fraction of all requests (0 when nothing was requested).
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct SynthInner {
-    map: HashMap<SynthKey, Arc<Tensor<f32>>>,
-    order: VecDeque<SynthKey>,
-    bytes: usize,
-    budget: usize,
-}
-
-impl Default for SynthCache {
-    fn default() -> Self {
-        Self::with_budget(Self::DEFAULT_BUDGET)
-    }
-}
-
-impl SynthCache {
-    /// Default byte budget: enough for a couple of full-scale benchmark
-    /// graphs' weights plus their inputs.
-    pub const DEFAULT_BUDGET: usize = 512 << 20;
-
-    /// An empty cache with the default byte budget.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty cache holding at most `budget` bytes of tensor data.
-    pub fn with_budget(budget: usize) -> Self {
-        Self {
-            inner: Mutex::new(SynthInner {
-                budget,
-                ..SynthInner::default()
-            }),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-        }
-    }
-
-    /// A standard-normal activation tensor of `dims` for `seed`.
-    pub fn normal(&self, dims: &[usize], seed: u64) -> Arc<Tensor<f32>> {
-        self.get_or_insert(false, dims, seed, || normal(dims, 0.0, 1.0, seed))
-    }
-
-    /// A Kaiming-normal weight tensor of `dims` for `seed`.
-    pub fn kaiming(&self, dims: &[usize], seed: u64) -> Arc<Tensor<f32>> {
-        self.get_or_insert(true, dims, seed, || kaiming_normal(dims, seed))
-    }
-
-    fn get_or_insert(
-        &self,
-        kaiming: bool,
-        dims: &[usize],
-        seed: u64,
-        make: impl FnOnce() -> Tensor<f32>,
-    ) -> Arc<Tensor<f32>> {
-        let key = (kaiming, dims.to_vec(), seed);
-        let mut inner = self.inner.lock().expect("synth cache poisoned");
-        if let Some(t) = inner.map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Arc::clone(t);
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let t = Arc::new(make());
-        inner.bytes += t.len() * std::mem::size_of::<f32>();
-        inner.map.insert(key.clone(), Arc::clone(&t));
-        inner.order.push_back(key);
-        // Evict oldest-first down to the budget (the new entry is kept even
-        // if it alone exceeds it — the caller needs the tensor either way).
-        while inner.bytes > inner.budget && inner.order.len() > 1 {
-            let victim = inner.order.pop_front().expect("non-empty order");
-            if let Some(old) = inner.map.remove(&victim) {
-                inner.bytes -= old.len() * std::mem::size_of::<f32>();
-            }
-        }
-        t
-    }
-
-    /// A point-in-time snapshot of the cache counters.
-    pub fn stats(&self) -> SynthStats {
-        let inner = self.inner.lock().expect("synth cache poisoned");
-        SynthStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            bytes: inner.bytes,
-        }
-    }
-
-    /// Cache hits so far.
-    pub fn hits(&self) -> usize {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses (synthesis runs) so far.
-    pub fn misses(&self) -> usize {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of cached tensors.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("synth cache poisoned").map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Bytes of tensor data currently cached.
-    pub fn bytes(&self) -> usize {
-        self.inner.lock().expect("synth cache poisoned").bytes
-    }
-
-    /// Drops every cached tensor (the counters are kept).
-    pub fn clear(&self) {
-        let mut inner = self.inner.lock().expect("synth cache poisoned");
-        inner.map.clear();
-        inner.order.clear();
-        inner.bytes = 0;
-    }
-}
-
-/// Execution options: batch size, shape caps for test-speed control, seed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ExecutorOptions {
-    /// Batch size of the synthesized activations.
-    pub batch: usize,
-    /// Channel counts are capped to this value (`usize::MAX` = no cap).
-    pub max_channels: usize,
-    /// Spatial output resolution is capped to this value.
-    pub max_hw: usize,
-    /// Base seed of the synthesized tensors.
-    pub seed: u64,
-}
-
-impl Default for ExecutorOptions {
-    fn default() -> Self {
-        Self {
-            batch: 1,
-            max_channels: usize::MAX,
-            max_hw: usize::MAX,
-            seed: 0,
-        }
-    }
-}
-
-impl ExecutorOptions {
-    /// A configuration capped for fast functional runs (tests, smoke checks).
-    pub fn smoke() -> Self {
-        Self {
-            batch: 1,
-            max_channels: 16,
-            max_hw: 16,
-            seed: 0,
-        }
-    }
-}
-
-/// The outcome of executing one layer.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LayerExecution {
-    /// Layer name from the inventory.
-    pub name: String,
-    /// Kernel the planner selected.
-    pub kernel: Kernel,
-    /// Name of the backend that actually ran (fallbacks included).
-    pub backend: &'static str,
-    /// NCHW dimensions of the produced output.
-    pub output_dims: Vec<usize>,
-    /// Wall-clock seconds of the backend call.
-    pub seconds: f64,
-    /// Mean of the output feature map (cheap integrity checksum).
-    pub checksum: f32,
-}
-
-/// The outcome of executing a whole network.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NetworkExecution {
-    /// Network name.
-    pub network: String,
-    /// The plan that was executed.
-    pub plan: ExecutionPlan,
-    /// Per-layer outcomes, in inventory order.
-    pub layers: Vec<LayerExecution>,
-    /// Total wall-clock seconds across all layers.
-    pub total_seconds: f64,
-}
-
-impl NetworkExecution {
-    /// How many layers ran with each kernel.
-    pub fn kernel_histogram(&self) -> [(Kernel, usize); 3] {
-        self.plan.kernel_histogram()
-    }
-
-    /// Seconds spent in layers of the given kernel.
-    pub fn seconds_for(&self, kernel: Kernel) -> f64 {
-        self.layers
-            .iter()
-            .filter(|l| l.kernel == kernel)
-            .map(|l| l.seconds)
-            .sum()
-    }
-}
-
-/// Runs whole layer inventories through planned backends with real tensors.
-#[derive(Debug)]
-pub struct NetworkExecutor {
-    engine: Engine,
-    planner: Planner,
-    synth: SynthCache,
-}
-
-impl NetworkExecutor {
-    /// An executor over the given engine and planner.
-    pub fn new(engine: Engine, planner: Planner) -> Self {
-        Self {
-            engine,
-            planner,
-            synth: SynthCache::new(),
-        }
-    }
-
-    /// The default FP32 executor (all kernels available).
-    pub fn with_defaults() -> Self {
-        Self::new(Engine::with_default_backends(), Planner::default())
-    }
-
-    /// The engine backing this executor.
-    pub fn engine(&self) -> &Engine {
-        &self.engine
-    }
-
-    /// The planner backing this executor.
-    pub fn planner(&self) -> &Planner {
-        &self.planner
-    }
-
-    /// The tensor-synthesis cache backing this executor.
-    pub fn synth(&self) -> &SynthCache {
-        &self.synth
-    }
-
-    /// Executes one layer with the given kernel on synthesized tensors.
-    pub fn run_layer(
-        &self,
-        layer: &ConvLayer,
-        kernel: Kernel,
-        opts: &ExecutorOptions,
-    ) -> LayerExecution {
-        let capped = capped_layer(layer, opts);
-        let params = capped.params();
-        let (h_in, w_in) = capped.input_hw();
-        let x = self.synth.normal(
-            &[opts.batch, capped.c_in, h_in, w_in],
-            opts.seed.wrapping_mul(31).wrapping_add(1),
-        );
-        let w = self.synth.kaiming(
-            &[capped.c_out, capped.c_in, capped.kernel, capped.kernel],
-            opts.seed.wrapping_mul(31).wrapping_add(2),
-        );
-        let backend = self
-            .engine
-            .backend_for(kernel, params)
-            .or_else(|| self.engine.backend_for(Kernel::Im2col, params))
-            .expect("engine has no backend for this layer");
-        let start = Instant::now();
-        let y = backend.conv2d(&x, &w, None, params);
-        let seconds = start.elapsed().as_secs_f64();
-        LayerExecution {
-            name: layer.name.clone(),
-            kernel,
-            backend: backend.name(),
-            output_dims: y.dims().to_vec(),
-            seconds,
-            checksum: y.mean(),
-        }
-    }
-
-    /// Plans and executes every layer of a network.
-    pub fn run(&self, network: &Network, opts: &ExecutorOptions) -> NetworkExecution {
-        let plan = self.planner.plan(network);
-        let mut layers = Vec::with_capacity(plan.layers.len());
-        let mut total = 0.0;
-        for (layer, lp) in network.layers.iter().zip(plan.layers.iter()) {
-            let mut exec = self.run_layer(layer, lp.kernel, opts);
-            // The plan names the layer; keep them aligned even if a backend
-            // fallback changed the executing path.
-            exec.name.clone_from(&lp.name);
-            total += exec.seconds;
-            layers.push(exec);
-        }
-        NetworkExecution {
-            network: network.name.clone(),
-            plan,
-            layers,
-            total_seconds: total,
-        }
-    }
-}
-
-/// Applies the option caps to one layer descriptor.
-fn capped_layer(layer: &ConvLayer, opts: &ExecutorOptions) -> ConvLayer {
-    let mut l = layer.clone();
-    l.c_in = l.c_in.min(opts.max_channels).max(1);
-    l.c_out = l.c_out.min(opts.max_channels).max(1);
-    l.h_out = l.h_out.min(opts.max_hw).max(1);
-    l.w_out = l.w_out.min(opts.max_hw).max(1);
-    l
-}
-
-/// Convenience: checks that an executed output dims match the capped layer
-/// geometry (used by tests and examples).
-pub fn expected_output_dims(layer: &ConvLayer, opts: &ExecutorOptions) -> Vec<usize> {
-    let capped = capped_layer(layer, opts);
-    let params = capped.params();
-    let (h_in, w_in) = capped.input_hw();
-    let (h_out, w_out) = params.output_hw(h_in, w_in);
-    vec![opts.batch, capped.c_out, h_out, w_out]
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use wino_nets::{resnet20, unet, vgg_nagadomi, LayerKind};
+    use crate::engine::{GraphExecutor, GraphRunOptions};
+    use wino_nets::{
+        resnet20_graph, ssd_graph, unet_graph, ConvLayer, GraphBuilder, GraphOp, Kernel, LayerKind,
+    };
+
+    /// The backend name a planned kernel must run as.
+    fn backend_of(kernel: Kernel) -> &'static str {
+        match kernel {
+            Kernel::Im2col => "im2col-gemm",
+            Kernel::WinogradF2 => "winograd-f2",
+            Kernel::WinogradF4 => "winograd-f4",
+        }
+    }
 
     #[test]
     fn runs_every_layer_of_small_inventories() {
-        let exec = NetworkExecutor::with_defaults();
-        let opts = ExecutorOptions::smoke();
-        for net in [resnet20(), vgg_nagadomi()] {
-            let run = exec.run(&net, &opts);
-            assert_eq!(run.layers.len(), net.layers.len());
-            for (layer, le) in net.layers.iter().zip(run.layers.iter()) {
+        let exec = GraphExecutor::with_defaults();
+        let opts = GraphRunOptions::default();
+        for graph in [
+            resnet20_graph().with_channel_div(4),
+            ssd_graph(160).with_channel_div(16),
+        ] {
+            let prepared = exec.prepare(&graph, &opts);
+            let run = exec.run(&prepared);
+            assert_eq!(run.nodes.len(), graph.nodes().len(), "{}", graph.name);
+            for (id, node) in run.nodes.iter().enumerate() {
+                let (c, h, w) = prepared.shapes()[id];
                 assert_eq!(
-                    le.output_dims,
-                    expected_output_dims(layer, &opts),
-                    "layer {} produced the wrong shape",
-                    le.name
+                    node.output_dims,
+                    [opts.batch, c, h, w],
+                    "node {} produced the wrong shape",
+                    node.name
                 );
-                assert!(le.checksum.is_finite());
+                assert!(node.checksum.is_finite(), "{}", node.name);
             }
             assert!(run.total_seconds >= 0.0);
         }
@@ -416,19 +44,23 @@ mod tests {
 
     #[test]
     fn eligible_layers_run_winograd_backends() {
-        let exec = NetworkExecutor::with_defaults();
-        let run = exec.run(&unet(), &ExecutorOptions::smoke());
-        for (layer, le) in unet().layers.iter().zip(run.layers.iter()) {
-            match layer.kind() {
-                LayerKind::WinogradEligible => {
-                    assert!(
-                        le.backend.starts_with("winograd"),
-                        "eligible layer {} ran {}",
-                        le.name,
-                        le.backend
-                    );
-                }
-                LayerKind::Standard => assert_eq!(le.backend, "im2col-gemm"),
+        let exec = GraphExecutor::with_defaults();
+        let graph = unet_graph(32).with_channel_div(16);
+        let prepared = exec.prepare(&graph, &GraphRunOptions::default());
+        let run = exec.run(&prepared);
+        for (id, node) in run.nodes.iter().enumerate() {
+            let Some(plan) = prepared.plan_for(id) else {
+                continue;
+            };
+            let backend = node.backend.expect("conv nodes report their backend");
+            if plan.params.is_winograd_eligible() {
+                assert!(
+                    backend.starts_with("winograd"),
+                    "eligible node {} ran {backend}",
+                    node.name
+                );
+            } else {
+                assert_eq!(backend, "im2col-gemm", "{}", node.name);
             }
         }
         let hist = run.kernel_histogram();
@@ -437,41 +69,62 @@ mod tests {
 
     #[test]
     fn repeated_shapes_reuse_synthesized_tensors() {
-        let exec = NetworkExecutor::with_defaults();
-        let layer = wino_nets::ConvLayer::conv3x3("t", 8, 8, 12);
-        let opts = ExecutorOptions::smoke();
-        let first = exec.run_layer(&layer, Kernel::WinogradF2, &opts);
+        let exec = GraphExecutor::with_defaults();
+        let graph = resnet20_graph().with_channel_div(4);
+        let a = exec.prepare(&graph, &GraphRunOptions::default());
         let misses = exec.synth().misses();
-        assert_eq!(misses, 2, "first run synthesizes input + weights");
-        let second = exec.run_layer(&layer, Kernel::WinogradF2, &opts);
-        assert_eq!(exec.synth().misses(), misses, "second run must hit");
-        assert_eq!(exec.synth().hits(), 2);
-        assert_eq!(first.checksum, second.checksum);
+        assert!(misses > 0, "first prepare synthesizes inputs and weights");
+        let b = exec.prepare(&graph, &GraphRunOptions::default());
+        assert_eq!(exec.synth().misses(), misses, "second prepare must hit");
+        assert_eq!(exec.synth().hits(), misses);
+        assert_eq!(exec.run(&a).outputs, exec.run(&b).outputs);
     }
 
-    #[test]
-    fn synth_cache_evicts_oldest_beyond_its_budget() {
-        // Budget fits two 4-element tensors (16 bytes each) but not three.
-        let cache = SynthCache::with_budget(32);
-        let a = cache.normal(&[4], 1);
-        let _b = cache.normal(&[4], 2);
-        let _c = cache.normal(&[4], 3);
-        assert_eq!(cache.len(), 2, "oldest entry must be evicted");
-        assert!(cache.bytes() <= 32);
-        // The evicted tensor is regenerated identically on re-request.
-        let a2 = cache.normal(&[4], 1);
-        assert_eq!(*a, *a2);
-    }
-
+    /// A chain whose plan requests F4 (12×12), im2col (stride 2) and F2
+    /// (2×2, where one F4 tile would waste most of its taps).
     #[test]
     fn run_layer_respects_requested_kernel() {
-        let exec = NetworkExecutor::with_defaults();
-        let layer = wino_nets::ConvLayer::conv3x3("t", 8, 8, 12);
-        let opts = ExecutorOptions::smoke();
-        let f2 = exec.run_layer(&layer, Kernel::WinogradF2, &opts);
-        assert_eq!(f2.backend, "winograd-f2");
-        let strided = wino_nets::ConvLayer::new("s", 8, 8, 6, 6, 3, 2);
-        let fb = exec.run_layer(&strided, Kernel::WinogradF4, &opts);
-        assert_eq!(fb.backend, "im2col-gemm", "strided layer must fall back");
+        let mut g = GraphBuilder::new("dispatch", 12);
+        let x = g.input("input", 8, 12, 12);
+        let f4 = g.conv(ConvLayer::conv3x3("f4", 8, 8, 12), x);
+        let s1 = g.conv(ConvLayer::new("s1", 8, 8, 6, 6, 3, 2), f4);
+        let s2 = g.conv(ConvLayer::new("s2", 8, 8, 3, 3, 3, 2), s1);
+        let s3 = g.conv(ConvLayer::new("s3", 8, 8, 2, 2, 3, 2), s2);
+        let f2 = g.conv(ConvLayer::conv3x3("f2", 8, 8, 2), s3);
+        g.output("out", f2);
+        let graph = g.finish();
+
+        let exec = GraphExecutor::with_defaults();
+        let prepared = exec.prepare(&graph, &GraphRunOptions::default());
+        let run = exec.run(&prepared);
+        let mut requested = Vec::new();
+        for (id, node) in run.nodes.iter().enumerate() {
+            let Some(plan) = prepared.plan_for(id) else {
+                continue;
+            };
+            if let GraphOp::Conv(layer) = &graph.nodes()[id].op {
+                if layer.kind() == LayerKind::Standard {
+                    assert_eq!(
+                        plan.kernel,
+                        Kernel::Im2col,
+                        "strided {} must fall back",
+                        node.name
+                    );
+                }
+            }
+            assert_eq!(node.kernel, Some(plan.kernel), "{}", node.name);
+            assert_eq!(node.backend, Some(backend_of(plan.kernel)), "{}", node.name);
+            requested.push(plan.kernel);
+        }
+        assert_eq!(
+            requested,
+            [
+                Kernel::WinogradF4,
+                Kernel::Im2col,
+                Kernel::Im2col,
+                Kernel::Im2col,
+                Kernel::WinogradF2
+            ]
+        );
     }
 }

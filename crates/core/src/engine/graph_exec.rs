@@ -1,10 +1,11 @@
 //! Chained whole-graph execution through the engine.
 //!
-//! [`crate::engine::NetworkExecutor`] runs inventory layers independently;
-//! this module executes the real topologies of `wino_nets::graph_builders` —
+//! This module executes the real topologies of `wino_nets::graph_builders` —
 //! activations flow node to node through residual adds, skip concats and FPN
 //! merges, which is the deployment-style end-to-end setting the paper's
-//! accuracy and throughput claims are about.
+//! accuracy and throughput claims are about. Every conv node reports its
+//! planned kernel, the backend that ran, its seconds and output dims in
+//! [`GraphExecution::nodes`].
 //!
 //! Three concerns are layered on top of plain node-by-node evaluation:
 //!
@@ -24,9 +25,9 @@
 //!   integer graph runs are validated against in the integration tests.
 
 use crate::engine::backends::estimate_output_max;
-use crate::engine::executor::SynthCache;
 use crate::engine::planner::{Activation, EpiloguePlan, FusionClasses, LayerPlan, Planner};
 use crate::engine::running::{CalibrationPolicy, RunningCalibration};
+use crate::engine::synth::SynthCache;
 use crate::engine::Engine;
 use crate::epilogue::{apply_epilogue, EpilogueOps};
 use crate::int_winograd::{IntWinogradConv, WinogradQuantConfig};
@@ -437,9 +438,18 @@ pub struct ArenaStats {
 /// serving recycles the previous batch's buffers instead of touching the
 /// allocator. Per-run counters reset at the start of each run; the
 /// cumulative view is [`ActivationArena::stats`].
+///
+/// Conv, pool and input outputs are allocated outside the arena but parked
+/// on release like any other dead tensor, so a run parks more buffers than
+/// it takes back. Between runs the arena therefore keeps only the largest
+/// buffers, up to the most takes any one run has made: enough for every
+/// take of the next run to recycle, and a bound on what a long-lived worker
+/// holds.
 #[derive(Debug, Default)]
 pub struct ActivationArena {
     free: Vec<Vec<f32>>,
+    /// Most buffers any single run has requested (`take`/`take_empty`).
+    max_takes: usize,
     live_bytes: usize,
     peak_bytes: usize,
     reuse_hits: usize,
@@ -481,12 +491,20 @@ impl ActivationArena {
         self.runs += 1;
     }
 
-    /// Folds the finished run's counters into the cumulative totals.
+    /// Folds the finished run's counters into the cumulative totals and
+    /// drops the parked buffers no run could take back.
     fn end_run(&mut self) {
         self.max_peak_bytes = self.max_peak_bytes.max(self.peak_bytes);
         self.total_reuse_hits += self.reuse_hits;
         self.total_fresh_allocs += self.fresh_allocs;
+        self.max_takes = self.max_takes.max(self.reuse_hits + self.fresh_allocs);
+        if self.free.len() > self.max_takes {
+            self.free
+                .sort_unstable_by_key(|b| std::cmp::Reverse(b.capacity()));
+            self.free.truncate(self.max_takes);
+        }
     }
+
     /// A zeroed buffer of `len` floats, recycled if a dead tensor fits
     /// (for the `*_into` helpers, which require a full-length slice).
     fn take(&mut self, len: usize) -> Vec<f32> {
@@ -550,8 +568,6 @@ pub struct GraphExecutor {
     reference: bool,
     /// Which epilogue fusion classes the planner may apply.
     fusion: FusionClasses,
-    /// Whether Winograd nodes run the legacy per-tile kernels (benchmarking).
-    per_tile: bool,
     synth: SynthCache,
 }
 
@@ -564,7 +580,6 @@ impl GraphExecutor {
             quant: None,
             reference: false,
             fusion: FusionClasses::all(),
-            per_tile: false,
             synth: SynthCache::new(),
         }
     }
@@ -582,7 +597,6 @@ impl GraphExecutor {
             quant: Some(cfg),
             reference: false,
             fusion: FusionClasses::all(),
-            per_tile: false,
             synth: SynthCache::new(),
         }
     }
@@ -595,7 +609,6 @@ impl GraphExecutor {
             quant: None,
             reference: true,
             fusion: FusionClasses::all(),
-            per_tile: false,
             synth: SynthCache::new(),
         }
     }
@@ -619,16 +632,6 @@ impl GraphExecutor {
     /// The fusion classes this executor plans with.
     pub fn fusion(&self) -> FusionClasses {
         self.fusion
-    }
-
-    /// Reverts to the pre-tap-major execution: per-tile Winograd kernels and
-    /// no epilogue fusion of any class. A benchmarking aid (`bench_dump`,
-    /// the `graph_forward` criterion group) that quantifies the tap-major
-    /// rewrite end to end; never the right choice for serving.
-    pub fn legacy(mut self) -> Self {
-        self.fusion = FusionClasses::none();
-        self.per_tile = true;
-        self
     }
 
     /// The engine backing this executor.
@@ -1050,7 +1053,6 @@ impl GraphExecutor {
                     // direct path, which cannot consume a stolen buffer —
                     // keep every residual operand borrowed while observing.
                     let steal = pc.epilogue.in_place
-                        && !self.per_tile
                         && observer.is_none()
                         && pc.in_place_capable(batch, prepared.shapes[id], self.quant);
                     let owned = if steal {
@@ -1220,7 +1222,7 @@ impl GraphExecutor {
     /// integer path the output requantization) the planner absorbed into it.
     /// `owned_residual` carries the stolen residual buffer when the run loop
     /// decided on in-place accumulation; it is `Some` only for Winograd
-    /// states outside legacy mode.
+    /// states.
     fn run_conv(
         &self,
         id: usize,
@@ -1251,14 +1253,7 @@ impl GraphExecutor {
                     TileSize::F4 => "winograd-f4",
                     TileSize::F6 => "winograd-f6",
                 };
-                if self.per_tile {
-                    // Legacy benchmarking mode. A `legacy()` executor plans
-                    // without fusion, but the prepared graph may come from a
-                    // fusing executor — honour its fused epilogue either way.
-                    let mut y = prep.forward_per_tile(x);
-                    apply_epilogue(&mut y, &ops);
-                    (y, name)
-                } else if let Some(t) = owned_residual {
+                if let Some(t) = owned_residual {
                     (
                         prep.forward_with_epilogue_into(x, ops.bias, ops.pre_add_relu, ops.relu, t),
                         name,
@@ -1308,15 +1303,7 @@ impl GraphExecutor {
                     IntPrepared { conv, input }
                 });
                 let xq = crate::quant::quantize_to_i8(x, st.input);
-                let y = if self.per_tile {
-                    // As on the float path: honour the fused epilogue baked
-                    // into the prepared graph even in legacy mode, as
-                    // separate passes over the dequantized output (bitwise
-                    // identical: `max(0, c)·s == max(0, c·s)` for s > 0).
-                    let mut y = st.conv.forward_per_tile(&xq).dequantize();
-                    apply_epilogue(&mut y, &ops);
-                    y
-                } else if let Some(t) = owned_residual {
+                let y = if let Some(t) = owned_residual {
                     st.conv
                         .forward_epilogue_into(&xq, ops.bias, ops.pre_add_relu, ops.relu, t)
                 } else {
@@ -1452,6 +1439,49 @@ mod tests {
             first.peak_live_bytes.max(second.peak_live_bytes)
         );
         assert!(stats.free_buffers > 0 && stats.free_bytes > 0);
+    }
+
+    #[test]
+    fn arena_free_list_stays_bounded_across_runs() {
+        // Conv, pool and input outputs are parked on release although only
+        // structural nodes take buffers back; without the end-of-run bound a
+        // serving worker's arena grew by every run's conv outputs.
+        use crate::int_winograd::WinogradQuantConfig;
+        let graph = resnet20_graph().with_channel_div(8);
+        let exec = GraphExecutor::quantized(WinogradQuantConfig::default());
+        let p = exec.prepare(&graph, &GraphRunOptions::default());
+        exec.warmup(&p);
+        let (c, h, w) = p.shapes()[graph.input_ids()[0]];
+        let xs: Vec<_> = (1..=3)
+            .map(|b| wino_tensor::normal(&[b, c, h, w], 0.0, 1.0, b as u64))
+            .collect();
+        let mut arena = ActivationArena::new();
+        let mut first = None;
+        let mut settled = None;
+        for i in 0..1000 {
+            let x = &xs[[0, 2, 1, 1, 0, 2][i % 6]];
+            let run = exec.run_with_inputs_in(&p, std::slice::from_ref(x), &mut arena);
+            let counts = (run.arena_reuse_hits, run.arena_fresh_allocs);
+            // Per-run recycling is unchanged by the bound.
+            assert_eq!(*first.get_or_insert(counts), counts, "run {i}");
+            let stats = arena.stats();
+            match settled {
+                None if i == 5 => settled = Some(stats),
+                Some(s) => assert!(
+                    stats.free_buffers <= s.free_buffers && stats.free_bytes <= s.free_bytes,
+                    "run {i}: parked {} buffers / {} B, settled at {} / {} B",
+                    stats.free_buffers,
+                    stats.free_bytes,
+                    s.free_buffers,
+                    s.free_bytes
+                ),
+                None => {}
+            }
+        }
+        assert!(
+            first.is_some_and(|(hits, _)| hits > 0),
+            "nothing was recycled"
+        );
     }
 
     /// A residual tail whose convs both declare a per-channel bias. At 8×8 /

@@ -12,29 +12,30 @@
 //! * [`Planner`] — per-layer kernel selection over a [`wino_nets::Network`],
 //!   sharing the [`wino_nets::Kernel`] taxonomy and eligibility rules with
 //!   `accel_sim` ([`planner`]);
-//! * [`NetworkExecutor`] — runs whole layer inventories through the planned
-//!   backends with real tensors ([`executor`]).
+//! * [`GraphExecutor`] — runs the zoo graphs end to end through the planned
+//!   backends with chained activations ([`graph_exec`]).
 //!
 //! # Adding a backend
 //!
 //! Implement [`ConvBackend`] for your type (see `backends.rs` for the
 //! patterns), report the accelerator [`Kernel`] it realises from
 //! [`ConvBackend::kernel`] (or `None` for pure reference paths), and register
-//! it with [`Engine::push`]. Dispatch, planning and the executor pick it up
-//! without further changes; the `engine_dispatch` integration test will
+//! it with [`Engine::push`]. Dispatch and planning pick it up without further
+//! changes, and [`GraphExecutor`] runs it for every conv node whose planned
+//! kernel it realises and that has no dedicated prepared state (the float
+//! and integer Winograd nodes); the `engine_dispatch` integration test will
 //! cross-check it against the direct reference automatically if added to the
 //! engine there.
 
 pub mod backends;
-pub mod executor;
+#[cfg(test)]
+mod executor;
 pub mod graph_exec;
 pub mod planner;
 pub mod running;
+pub mod synth;
 
 pub use backends::{DirectBackend, Im2colGemmBackend, IntWinogradTapwiseBackend, WinogradBackend};
-pub use executor::{
-    ExecutorOptions, LayerExecution, NetworkExecution, NetworkExecutor, SynthCache, SynthStats,
-};
 pub use graph_exec::{
     ActivationArena, ArenaStats, GraphExecution, GraphExecutor, GraphRunOptions, NodeExecution,
     PreparedGraph,
@@ -43,6 +44,7 @@ pub use planner::{
     Activation, EpilogueFusion, EpiloguePlan, ExecutionPlan, FusionClasses, LayerPlan, Planner,
 };
 pub use running::{CalibrationPolicy, CalibrationState, RunningCalibration};
+pub use synth::{SynthCache, SynthStats};
 
 use crate::epilogue::EpilogueOps;
 use wino_nets::Kernel;

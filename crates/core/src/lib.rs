@@ -16,8 +16,8 @@
 //!   used to cross-check the hard-coded matrices;
 //! * the unified execution engine ([`engine`]): every convolution path behind
 //!   one [`ConvBackend`] contract, a [`Planner`] that picks a kernel per layer
-//!   with the same taxonomy as the cycle simulator, and a [`NetworkExecutor`]
-//!   that runs whole layer inventories with real tensors;
+//!   with the same taxonomy as the cycle simulator, and a [`GraphExecutor`]
+//!   that runs whole network graphs end to end with real tensors;
 //! * composable convolution epilogues ([`epilogue`]): the bias / requant /
 //!   residual / ReLU tail every backend can fuse into its output transform,
 //!   with [`apply_epilogue`] as the bitwise reference.
@@ -61,10 +61,10 @@ pub use calibration::{MaxCalibrator, TapCalibrator};
 pub use cooktoom::cook_toom_matrices;
 pub use engine::{
     Activation, ActivationArena, ArenaStats, CalibrationPolicy, CalibrationState, ConvBackend,
-    DirectBackend, Engine, EpilogueFusion, EpiloguePlan, ExecutionPlan, ExecutorOptions,
-    FusionClasses, GraphExecution, GraphExecutor, GraphRunOptions, Im2colGemmBackend,
-    IntWinogradTapwiseBackend, LayerPlan, NetworkExecution, NetworkExecutor, NodeExecution,
-    Planner, PreparedGraph, RunningCalibration, SynthCache, SynthStats, WinogradBackend,
+    DirectBackend, Engine, EpilogueFusion, EpiloguePlan, ExecutionPlan, FusionClasses,
+    GraphExecution, GraphExecutor, GraphRunOptions, Im2colGemmBackend, IntWinogradTapwiseBackend,
+    LayerPlan, NodeExecution, Planner, PreparedGraph, RunningCalibration, SynthCache, SynthStats,
+    WinogradBackend,
 };
 pub use epilogue::{add_bias, apply_epilogue, EpilogueOps};
 pub use int_winograd::{

@@ -24,7 +24,7 @@ pub use protocol::{
     ErrorCode, Frame, FrameRead, ModelStatsEntry, WireError, MAGIC, MAX_FRAME_BYTES, VERSION,
 };
 pub use registry::{
-    AdmissionControl, ModelRegistry, ModelReply, ModelServeConfig, PendingReply, RegistryBuilder,
-    RegistryServer, SubmitError,
+    AdmissionControl, InferenceReply, ModelRegistry, ModelReply, ModelServeConfig, PendingReply,
+    RegistryBuilder, RegistryServer, SubmitError,
 };
 pub use server::{NetServer, NetServerConfig};

@@ -31,7 +31,6 @@
 
 use crate::net::protocol::ModelStatsEntry;
 use crate::scheduler::{Batch, BatchPolicy, BatchScheduler};
-use crate::server::InferenceReply;
 use crate::stats::{MultiModelReport, ServerStats};
 use std::fmt::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -130,6 +129,25 @@ impl std::fmt::Display for SubmitError {
 }
 
 impl std::error::Error for SubmitError {}
+
+/// A completed inference.
+#[derive(Debug, Clone, PartialEq)]
+pub struct InferenceReply {
+    /// The graph's outputs for this request's images, in output-node order.
+    pub outputs: Vec<(String, Tensor<f32>)>,
+    /// Submit-to-reply latency.
+    pub latency: Duration,
+    /// Images in the coalesced batch this request rode in (> its own image
+    /// count when dynamic batching merged it with neighbours).
+    pub batch_images: usize,
+}
+
+impl InferenceReply {
+    /// The output tensor of the output node with the given name.
+    pub fn output(&self, name: &str) -> Option<&Tensor<f32>> {
+        self.outputs.iter().find(|(n, _)| n == name).map(|(_, t)| t)
+    }
+}
 
 /// The terminal outcome of an accepted (queued) request.
 #[derive(Debug, Clone, PartialEq)]
@@ -239,9 +257,10 @@ impl RegistryBuilder {
     }
 
     /// Registers a model with frozen (or trivially absent) calibration. An
-    /// uncalibrated quantized graph is warmed on its synthesized batch here,
-    /// exactly like [`crate::InferenceServer::start`] — by build time every
-    /// model's prepared state is immutable.
+    /// uncalibrated quantized graph is warmed on its synthesized batch here
+    /// (see [`GraphExecutor::warmup`]) — by build time every model's
+    /// prepared state is immutable, so every worker computes the same
+    /// function.
     ///
     /// # Panics
     ///
@@ -393,12 +412,12 @@ impl ModelRegistry {
             .map(|m| m.stats.report())
     }
 
-    /// Validates and enqueues one request against the named model.
+    /// Validates and enqueues one request against the named model (one NCHW
+    /// tensor per graph input node, any batch size).
     ///
-    /// Unlike [`crate::ServeClient::submit`], nothing here panics: every
-    /// refusal is a typed [`SubmitError`], because over the network a bad
-    /// request is the *peer's* bug and must come back as a reply, not take
-    /// down a handler.
+    /// Nothing here panics: every refusal is a typed [`SubmitError`],
+    /// because over the network a bad request is the *peer's* bug and must
+    /// come back as a reply, not take down a handler.
     pub fn submit(
         &self,
         model: &str,
@@ -579,7 +598,8 @@ impl ModelRegistry {
     }
 }
 
-/// Non-panicking mirror of the `ServeClient::submit` shape checks.
+/// The shape checks of a submit: tensor count, a non-empty batch, and every
+/// tensor's per-image shape against the graph.
 fn validate_inputs(prepared: &PreparedGraph, inputs: &[Tensor<f32>]) -> Result<(), String> {
     let graph = prepared.graph();
     let input_ids = graph.input_ids();

@@ -1,490 +1,87 @@
-//! The worker-pool inference server.
-//!
-//! [`InferenceServer::start`] warms up (calibrates) the prepared graph, then
-//! spawns `N` worker threads that loop on the [`BatchScheduler`]: take a
-//! coalesced batch, stack its single-image requests along the batch
-//! dimension, run the shared [`PreparedGraph`] once, slice the outputs back
-//! per request and reply. Clients are cheap clones of [`ServeClient`] and
-//! may submit from any thread.
-//!
-//! Everything shared across threads is `Sync` by construction (audited in
-//! `wino_core::engine::graph_exec`): the prepared state is read-only after
-//! warmup, the scheduler and stats are lock-protected, and each worker owns
-//! its mutable pieces (the activation arena) privately.
+//! Unit tests of the in-process worker pool: a one-model
+//! [`crate::RegistryBuilder`] registry served by [`crate::RegistryServer`],
+//! driven through [`crate::ModelRegistry::submit`] without the TCP front end.
 
-use crate::scheduler::{BatchPolicy, BatchScheduler};
-use crate::stats::{ServerStats, StatsReport};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
-use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
-use wino_core::{ActivationArena, GraphExecutor, PreparedGraph};
-use wino_tensor::{batch_slice, concat_batch, Tensor};
+mod tests {
+    use crate::{
+        AdmissionControl, BatchPolicy, InferenceReply, ModelRegistry, ModelReply, ModelServeConfig,
+        RegistryBuilder, RegistryServer, SubmitError,
+    };
+    use std::sync::Arc;
+    use std::time::Duration;
+    use wino_core::{GraphExecutor, GraphRunOptions, PreparedGraph, TileSize, WinogradQuantConfig};
+    use wino_nets::resnet20_graph;
+    use wino_tensor::{normal, Tensor};
 
-/// How the server runs: pool width and batching policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ServerConfig {
-    /// Worker threads sharing the prepared graph.
-    pub workers: usize,
-    /// Dynamic-batching policy of the request queue.
-    pub policy: BatchPolicy,
-    /// Calibrate the graph on its synthesized warmup batch before workers
-    /// start (see [`GraphExecutor::warmup`]); on by default. Turn off only
-    /// if the graph is already calibrated via
-    /// [`GraphExecutor::calibrate_with`] on a representative batch.
-    pub warmup: bool,
-    /// How many isolated panics each worker survives before it stops being
-    /// revived. A panic mid-batch answers that batch's requests with
-    /// [`ServeError::WorkerFailed`], counts a restart, and — while the
-    /// budget lasts — the worker keeps taking batches. When the last live
-    /// worker exits, the queue is closed and drained with typed errors so
-    /// no waiter ever leaks.
-    pub restart_budget: usize,
-}
-
-impl Default for ServerConfig {
-    fn default() -> Self {
-        Self {
-            workers: 2,
-            policy: BatchPolicy::default(),
-            warmup: true,
-            restart_budget: 3,
-        }
-    }
-}
-
-/// Why a request completed without an output.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeError {
-    /// The worker running this request's batch panicked. The request was
-    /// answered — not leaked — but no output exists; resubmitting is safe.
-    WorkerFailed,
-    /// The server shut down (or every worker died) before serving this
-    /// request.
-    Shutdown,
-}
-
-impl std::fmt::Display for ServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ServeError::WorkerFailed => write!(f, "worker panicked while serving this request"),
-            ServeError::Shutdown => write!(f, "server shut down before serving this request"),
-        }
-    }
-}
-
-impl std::error::Error for ServeError {}
-
-/// One queued inference request.
-#[derive(Debug)]
-struct Request {
-    /// One NCHW tensor per graph input node.
-    inputs: Vec<Tensor<f32>>,
-    /// When the client submitted (end-to-end latency starts here).
-    submitted: Instant,
-    reply: mpsc::Sender<Result<InferenceReply, ServeError>>,
-}
-
-/// A completed inference.
-#[derive(Debug, Clone, PartialEq)]
-pub struct InferenceReply {
-    /// The graph's outputs for this request's images, in output-node order.
-    pub outputs: Vec<(String, Tensor<f32>)>,
-    /// Submit-to-reply latency.
-    pub latency: Duration,
-    /// Images in the coalesced batch this request rode in (> its own image
-    /// count when dynamic batching merged it with neighbours).
-    pub batch_images: usize,
-}
-
-impl InferenceReply {
-    /// The output tensor of the output node with the given name.
-    pub fn output(&self, name: &str) -> Option<&Tensor<f32>> {
-        self.outputs.iter().find(|(n, _)| n == name).map(|(_, t)| t)
-    }
-}
-
-/// A pending reply; redeem it with [`PendingInference::result`] (typed) or
-/// [`PendingInference::wait`] (panics on failure).
-#[derive(Debug)]
-pub struct PendingInference {
-    rx: mpsc::Receiver<Result<InferenceReply, ServeError>>,
-}
-
-impl PendingInference {
-    /// Blocks until the request completes, successfully or not.
-    ///
-    /// Every accepted request completes exactly once: with the outputs, with
-    /// [`ServeError::WorkerFailed`] if the worker running its batch
-    /// panicked, or with [`ServeError::Shutdown`] if the pool went away
-    /// first. The reply channel is never silently dropped.
-    pub fn result(self) -> Result<InferenceReply, ServeError> {
-        match self.rx.recv() {
-            Ok(reply) => reply,
-            // Senders are only dropped wholesale when the server object
-            // itself is torn down before the drain ran.
-            Err(mpsc::RecvError) => Err(ServeError::Shutdown),
-        }
+    /// A quantized ResNet-20, so the pool shares interior calibration state.
+    fn small_pair() -> (Arc<GraphExecutor>, Arc<PreparedGraph>) {
+        let graph = resnet20_graph().with_channel_div(4);
+        let executor = Arc::new(GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(
+            TileSize::F4,
+            10,
+        )));
+        let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
+        (executor, prepared)
     }
 
-    /// Like [`PendingInference::result`], bounded by `timeout`: `None` means
-    /// the request is still in flight (the pending handle is consumed either
-    /// way; chaos tests use this so a leaked waiter fails fast instead of
-    /// hanging the suite).
-    pub fn result_timeout(self, timeout: Duration) -> Option<Result<InferenceReply, ServeError>> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(reply) => Some(reply),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Some(Err(ServeError::Shutdown)),
-            Err(mpsc::RecvTimeoutError::Timeout) => None,
-        }
-    }
-
-    /// Blocks until the reply arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the request failed ([`PendingInference::result`] is the
-    /// non-panicking form).
-    pub fn wait(self) -> InferenceReply {
-        match self.result() {
-            Ok(reply) => reply,
-            Err(err) => panic!("{err}"),
-        }
-    }
-}
-
-/// A cheap, cloneable handle for submitting requests from any thread.
-#[derive(Debug, Clone)]
-pub struct ServeClient {
-    scheduler: Arc<BatchScheduler<Request>>,
-    stats: Arc<ServerStats>,
-    prepared: Arc<PreparedGraph>,
-}
-
-impl ServeClient {
-    /// Submits one request (one NCHW tensor per graph input node; any batch
-    /// size, single-image `[1, C, H, W]` in the common case) and returns the
-    /// pending reply.
-    ///
-    /// # Panics
-    ///
-    /// Panics in the *calling* thread if the tensors do not match the graph
-    /// (count, rank, per-image shape, or disagreeing batch sizes) or the
-    /// server has shut down — a malformed request never reaches a worker,
-    /// so one bad client cannot take down the pool.
-    pub fn submit(&self, inputs: Vec<Tensor<f32>>) -> PendingInference {
-        let graph = self.prepared.graph();
-        let input_ids = graph.input_ids();
-        assert_eq!(
-            inputs.len(),
-            input_ids.len(),
-            "request carries {} input tensor(s), graph {} expects {}",
-            inputs.len(),
-            graph.name,
-            input_ids.len()
-        );
-        let batch = inputs
-            .first()
-            .map_or(0, |t| t.dims().first().copied().unwrap_or(0));
-        assert!(batch > 0, "request has an empty batch");
-        for (t, &id) in inputs.iter().zip(&input_ids) {
-            let (c, h, w) = self.prepared.shapes()[id];
-            assert_eq!(
-                t.dims(),
-                &[batch, c, h, w],
-                "input {:?} of graph {} has the wrong shape",
-                graph.nodes()[id].name,
-                graph.name
-            );
-        }
-        let (tx, rx) = mpsc::channel();
-        let accepted = self.scheduler.submit(Request {
-            inputs,
-            submitted: Instant::now(),
-            reply: tx,
-        });
-        assert!(accepted, "server has shut down");
-        PendingInference { rx }
-    }
-
-    /// Submits and blocks for the reply.
-    pub fn infer(&self, inputs: Vec<Tensor<f32>>) -> InferenceReply {
-        self.submit(inputs).wait()
-    }
-
-    /// Requests currently queued behind this handle's server.
-    pub fn queue_depth(&self) -> usize {
-        self.scheduler.depth()
-    }
-
-    /// A live snapshot of the serving telemetry.
-    pub fn stats(&self) -> StatsReport {
-        self.stats.report()
-    }
-}
-
-/// The batched inference server: `N` workers over one shared
-/// [`PreparedGraph`].
-#[derive(Debug)]
-pub struct InferenceServer {
-    scheduler: Arc<BatchScheduler<Request>>,
-    stats: Arc<ServerStats>,
-    workers: Vec<JoinHandle<()>>,
-    executor: Arc<GraphExecutor>,
-    prepared: Arc<PreparedGraph>,
-}
-
-impl InferenceServer {
-    /// Warms up the prepared graph and starts the worker pool.
-    ///
-    /// Calibration happens *here*, once, on the designated warmup batch —
-    /// never on a live request — so the prepared state is immutable by the
-    /// time any worker can touch it and every worker computes the same
-    /// function (see [`GraphExecutor::warmup`] for the first-batch-only
-    /// limitation).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.workers` is zero.
-    pub fn start(
+    /// A one-model registry named `"m"` and its worker pool. The deadline is
+    /// far beyond any test's run time, so nothing is shed on a slow machine.
+    fn serve(
         executor: Arc<GraphExecutor>,
         prepared: Arc<PreparedGraph>,
-        config: ServerConfig,
-    ) -> Self {
-        assert!(config.workers > 0, "a server needs at least one worker");
-        if config.warmup && !prepared.is_calibrated() {
-            executor.warmup(&prepared);
-        }
-        let scheduler = Arc::new(BatchScheduler::new(config.policy));
-        let stats = Arc::new(ServerStats::new());
-        stats.set_fusion(prepared.fused_node_count(), prepared.elided_bytes());
-        stats.set_kernel(prepared.simd_kernel());
-        let live = Arc::new(AtomicUsize::new(config.workers));
-        let workers = (0..config.workers)
-            .map(|i| {
-                let scheduler = Arc::clone(&scheduler);
-                let stats = Arc::clone(&stats);
-                let executor = Arc::clone(&executor);
-                let prepared = Arc::clone(&prepared);
-                let live = Arc::clone(&live);
-                let budget = config.restart_budget;
-                std::thread::Builder::new()
-                    .name(format!("wino-serve-{i}"))
-                    .spawn(move || {
-                        worker_loop(&scheduler, &stats, &executor, &prepared, budget, &live)
-                    })
-                    .expect("spawn worker")
-            })
-            .collect();
-        Self {
-            scheduler,
-            stats,
-            workers,
-            executor,
-            prepared,
-        }
-    }
-
-    /// A new client handle.
-    pub fn client(&self) -> ServeClient {
-        ServeClient {
-            scheduler: Arc::clone(&self.scheduler),
-            stats: Arc::clone(&self.stats),
-            prepared: Arc::clone(&self.prepared),
-        }
-    }
-
-    /// The shared prepared graph.
-    pub fn prepared(&self) -> &PreparedGraph {
-        &self.prepared
-    }
-
-    /// A live snapshot of the serving telemetry.
-    pub fn stats(&self) -> StatsReport {
-        self.stats.report()
-    }
-
-    /// Stops accepting requests, drains the queue, joins the workers and
-    /// returns the final report (worker arenas and the synthesis cache
-    /// folded in).
-    pub fn shutdown(mut self) -> StatsReport {
-        self.scheduler.close();
-        for w in std::mem::take(&mut self.workers) {
-            // Worker panics are isolated inside the loop; a join error can
-            // only come from a panic outside the catch_unwind region (e.g. a
-            // broken scheduler). The shutdown report must still be produced.
-            let _ = w.join();
-        }
-        self.stats.set_synth(self.executor.synth().stats());
-        self.stats.report()
-    }
-}
-
-impl Drop for InferenceServer {
-    fn drop(&mut self) {
-        // A dropped (not shut down) server must not leave workers blocked on
-        // the queue forever; close() lets them drain and exit.
-        self.scheduler.close();
-    }
-}
-
-/// One worker: take batches until shutdown, run them on the shared graph,
-/// slice replies back out, keep a private arena across batches.
-///
-/// Panic isolation: the graph run (and the `worker.batch.pre`/`.post` fault
-/// points around it) executes under `catch_unwind`. A panic answers every
-/// request of the batch with [`ServeError::WorkerFailed`], counts a restart,
-/// and the worker keeps serving while `budget` lasts. The last worker to
-/// exit closes and drains the queue so no pending waiter ever leaks.
-fn worker_loop(
-    scheduler: &BatchScheduler<Request>,
-    stats: &ServerStats,
-    executor: &GraphExecutor,
-    prepared: &PreparedGraph,
-    budget: usize,
-    live: &AtomicUsize,
-) {
-    let n_inputs = prepared.graph().input_ids().len();
-    let mut arena = ActivationArena::new();
-    let mut panics = 0usize;
-    while let Some(batch) = scheduler.next_batch() {
-        // Split the requests into the tensors (moved into the guarded run)
-        // and the reply handles (kept out, so a panicking run can still
-        // answer everyone).
-        let run_start = Instant::now();
-        let mut inputs: Vec<Vec<Tensor<f32>>> = Vec::with_capacity(batch.items.len());
-        let mut replies: Vec<(Instant, mpsc::Sender<Result<InferenceReply, ServeError>>)> =
-            Vec::with_capacity(batch.items.len());
-        for req in batch.items {
-            inputs.push(req.inputs);
-            replies.push((req.submitted, req.reply));
-        }
-        let counts: Vec<usize> = inputs.iter().map(|t| t[0].dims()[0]).collect();
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            let _ = wino_fault::fire("worker.batch.pre");
-            // Coalesce: stack every request's tensor for each input position
-            // (shapes were validated at submit time). A single-request batch
-            // moves its tensors straight through, copy-free.
-            let stacked: Vec<Tensor<f32>> = if inputs.len() == 1 {
-                std::mem::take(&mut inputs[0])
-            } else {
-                (0..n_inputs)
-                    .map(|pos| {
-                        let parts: Vec<&Tensor<f32>> = inputs.iter().map(|r| &r[pos]).collect();
-                        concat_batch(&parts)
-                    })
-                    .collect()
-            };
-            let run = executor.run_with_inputs_in(prepared, &stacked, &mut arena);
-            let images = stacked[0].dims()[0];
-            let _ = wino_fault::fire("worker.batch.post");
-            (run, images)
-        }));
-        match outcome {
-            Ok((run, images)) => {
-                let run_time = run_start.elapsed();
-                stats.record_batch(images, batch.depth_after, run_time, &batch.waits);
-                // De-coalesce: each request gets its own images back.
-                let mut offset = 0usize;
-                for ((submitted, reply), count) in replies.into_iter().zip(counts) {
-                    let outputs = run
-                        .outputs
-                        .iter()
-                        .map(|(name, t)| (name.clone(), batch_slice(t, offset, count)))
-                        .collect();
-                    offset += count;
-                    let latency = submitted.elapsed();
-                    stats.record_completion(latency);
-                    // A client that dropped its PendingInference is not an
-                    // error.
-                    let _ = reply.send(Ok(InferenceReply {
-                        outputs,
-                        latency,
-                        batch_images: images,
-                    }));
-                }
-            }
-            Err(_) => {
-                // The arena may be mid-run; start the revived worker clean.
-                arena = ActivationArena::new();
-                for (_, reply) in replies {
-                    stats.record_failed();
-                    let _ = reply.send(Err(ServeError::WorkerFailed));
-                }
-                panics += 1;
-                if panics > budget {
-                    break;
-                }
-                stats.record_worker_restart();
-            }
-        }
-    }
-    stats.merge_arena(arena.stats());
-    if live.fetch_sub(1, Ordering::AcqRel) == 1 {
-        // Last worker out — whether by shutdown or by exhausted restart
-        // budgets. Nothing will ever take another batch, so close the queue
-        // and answer everything still in it; submits from now on fail fast.
-        scheduler.close();
-        while let Some(rest) = scheduler.next_batch() {
-            for req in rest.items {
-                stats.record_failed();
-                let _ = req.reply.send(Err(ServeError::WorkerFailed));
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wino_core::{GraphExecutor, GraphRunOptions};
-    use wino_nets::resnet20_graph;
-    use wino_tensor::normal;
-
-    fn small_server(workers: usize, max_batch: usize) -> (InferenceServer, ServeClient) {
-        let graph = resnet20_graph().with_channel_div(4);
-        let executor = Arc::new(GraphExecutor::with_defaults());
-        let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
-        let server = InferenceServer::start(
-            executor,
-            prepared,
-            ServerConfig {
-                workers,
-                policy: BatchPolicy {
-                    max_batch,
-                    max_wait: Duration::from_millis(1),
-                },
-                warmup: true,
-                restart_budget: 3,
+        workers: usize,
+        max_batch: usize,
+    ) -> (Arc<ModelRegistry>, RegistryServer) {
+        let config = ModelServeConfig {
+            policy: BatchPolicy {
+                max_batch,
+                max_wait: Duration::from_millis(1),
             },
-        );
-        let client = server.client();
-        (server, client)
+            admission: AdmissionControl {
+                max_queue: 64,
+                deadline: Duration::from_secs(600),
+            },
+            ..ModelServeConfig::default()
+        };
+        let registry = RegistryBuilder::new()
+            .model("m", executor, prepared, config)
+            .build();
+        let server = RegistryServer::start(Arc::clone(&registry), workers);
+        (registry, server)
+    }
+
+    fn small_server(workers: usize, max_batch: usize) -> (Arc<ModelRegistry>, RegistryServer) {
+        let (executor, prepared) = small_pair();
+        serve(executor, prepared, workers, max_batch)
+    }
+
+    fn infer(registry: &ModelRegistry, inputs: Vec<Tensor<f32>>) -> InferenceReply {
+        let reply = registry.submit("m", inputs).expect("accepted").wait();
+        reply.and_then(ModelReply::ok).expect("served")
+    }
+
+    fn probe(seed: u64) -> Tensor<f32> {
+        normal(&[1, 1, 32, 32], 0.0, 1.0, seed)
     }
 
     #[test]
     fn replies_match_the_direct_submission_path() {
-        let graph = resnet20_graph().with_channel_div(4);
-        let executor = Arc::new(GraphExecutor::with_defaults());
-        let prepared = Arc::new(executor.prepare(&graph, &GraphRunOptions::default()));
+        let (executor, prepared) = small_pair();
+        executor.warmup(&prepared);
         let expected: Vec<_> = (0..6)
             .map(|i| {
-                let x = normal(&[1, 1, 32, 32], 0.0, 1.0, 100 + i);
+                let x = probe(100 + i);
                 let run = executor.run_with_inputs(&prepared, std::slice::from_ref(&x));
                 (x, run.outputs[0].1.clone())
             })
             .collect();
-        let server =
-            InferenceServer::start(Arc::clone(&executor), prepared, ServerConfig::default());
-        let client = server.client();
+        let (registry, server) = serve(Arc::clone(&executor), prepared, 2, 4);
         let pending: Vec<_> = expected
             .iter()
-            .map(|(x, _)| client.submit(vec![x.clone()]))
+            .map(|(x, _)| registry.submit("m", vec![x.clone()]).expect("accepted"))
             .collect();
         for (p, (_, want)) in pending.into_iter().zip(&expected) {
-            let reply = p.wait();
+            let reply = p.wait().and_then(ModelReply::ok).expect("served");
             assert_eq!(reply.outputs.len(), 1);
             assert_eq!(
                 &reply.outputs[0].1, want,
@@ -494,62 +91,85 @@ mod tests {
             assert!(reply.batch_images >= 1);
         }
         let report = server.shutdown();
-        assert_eq!(report.requests, 6);
-        assert_eq!(report.images, 6);
+        let m = report.model("m").expect("model report");
+        assert_eq!(m.requests, 6);
+        assert_eq!(m.images, 6);
     }
 
     #[test]
     fn shutdown_report_folds_in_every_worker_arena() {
-        let (server, client) = small_server(2, 2);
+        let (registry, server) = small_server(2, 2);
         for i in 0..8 {
-            let x = normal(&[1, 1, 32, 32], 0.0, 1.0, i);
-            let _ = client.infer(vec![x]);
+            let _ = infer(&registry, vec![probe(i)]);
         }
         let report = server.shutdown();
-        assert_eq!(report.workers_reported, 2);
-        assert_eq!(report.requests, 8);
-        assert!(report.arena.runs >= 8 / 2, "batches ran through the arenas");
-        assert!(report.throughput_rps > 0.0);
+        assert_eq!(report.pool.workers_reported, 2);
+        assert_eq!(report.total_requests(), 8);
+        assert!(
+            report.pool.arena.runs >= 8 / 2,
+            "batches ran through the arenas"
+        );
+        assert!(report.model("m").expect("model report").throughput_rps > 0.0);
     }
 
     #[test]
-    #[should_panic(expected = "server has shut down")]
-    fn submitting_after_shutdown_panics() {
-        let (server, client) = small_server(1, 2);
+    fn submitting_after_shutdown_is_refused() {
+        let (registry, server) = small_server(1, 2);
         let _ = server.shutdown();
-        let x = normal(&[1, 1, 32, 32], 0.0, 1.0, 0);
-        let _ = client.submit(vec![x]);
+        assert_eq!(
+            registry.submit("m", vec![probe(0)]).err(),
+            Some(SubmitError::Shutdown)
+        );
     }
 
     #[test]
-    #[should_panic(expected = "wrong shape")]
-    fn malformed_shapes_panic_the_caller_at_submit() {
-        let (_server, client) = small_server(1, 2);
-        let bad = normal(&[1, 2, 32, 32], 0.0, 1.0, 0);
-        let _ = client.submit(vec![bad]);
+    fn malformed_shapes_are_refused_at_submit() {
+        let (registry, server) = small_server(1, 2);
+        for bad in [
+            vec![normal(&[1, 2, 32, 32], 0.0, 1.0, 0)],
+            vec![normal(&[1, 1, 16, 16], 0.0, 1.0, 0)],
+            vec![probe(0), probe(1)],
+            vec![],
+        ] {
+            assert!(matches!(
+                registry.submit("m", bad).err(),
+                Some(SubmitError::BadShape(_))
+            ));
+        }
+        let _ = server.shutdown();
     }
 
     #[test]
     fn a_rejected_submit_leaves_the_pool_serving() {
-        let (server, client) = small_server(1, 2);
-        let bad = client.clone();
-        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
-            bad.submit(vec![normal(&[1, 1, 16, 16], 0.0, 1.0, 0)])
-        }));
-        assert!(panicked.is_err(), "bad shape must be rejected at submit");
+        let (registry, server) = small_server(1, 2);
+        let bad = normal(&[1, 1, 16, 16], 0.0, 1.0, 0);
+        assert!(
+            matches!(
+                registry.submit("m", vec![bad]).err(),
+                Some(SubmitError::BadShape(_))
+            ),
+            "bad shape must be rejected at submit"
+        );
         // The workers never saw the malformed request; service continues.
-        let reply = client.infer(vec![normal(&[1, 1, 32, 32], 0.0, 1.0, 1)]);
+        let reply = infer(&registry, vec![probe(1)]);
         assert_eq!(reply.outputs.len(), 1);
         let report = server.shutdown();
-        assert_eq!(report.requests, 1);
+        assert_eq!(report.total_requests(), 1);
     }
 
+    /// A multi-image request rides one batch and gets all of its images
+    /// back, equal to the sequential run of the same batch.
     #[test]
     fn multi_image_requests_are_sliced_back_whole() {
-        let (server, client) = small_server(1, 4);
+        let (executor, prepared) = small_pair();
+        executor.warmup(&prepared);
+        let (registry, server) = serve(Arc::clone(&executor), Arc::clone(&prepared), 1, 4);
         let x = normal(&[3, 1, 32, 32], 0.0, 1.0, 5);
-        let reply = client.infer(vec![x]);
-        assert_eq!(reply.outputs[0].1.dims()[0], 3);
+        let reply = infer(&registry, vec![x.clone()]);
+        let got = &reply.outputs[0].1;
+        assert_eq!(got.dims()[0], 3);
+        let want = executor.run_with_inputs(&prepared, std::slice::from_ref(&x));
+        assert_eq!(got, &want.outputs[0].1);
         let _ = server.shutdown();
     }
 }

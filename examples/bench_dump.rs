@@ -1,6 +1,7 @@
 //! Dumps `BENCH_winograd.json`: nanosecond medians of the tap-major Winograd
-//! paths against the legacy per-tile paths on the ResNet-34 3×3 layer shapes,
-//! the quantized ResNet-20 end-to-end graph forward, the residual-tail
+//! paths against the per-tile reference kernels on the ResNet-34 3×3 layer
+//! shapes, the quantized ResNet-20 end-to-end graph forward against the
+//! direct-convolution reference executor, the residual-tail
 //! epilogue-fusion rows (quantized ResNet-20/34, full fusion vs the relu-only
 //! baseline vs no fusion, with arena peaks and elided pre-activation bytes),
 //! and a serving-overload sweep of the multi-model registry (offered load vs
@@ -176,18 +177,17 @@ fn main() {
     let tap = median_ns(graph_iters, || {
         std::hint::black_box(fused.run(&p_fused));
     });
-    let legacy = GraphExecutor::quantized(WinogradQuantConfig::default()).legacy();
-    let p_legacy = legacy.prepare(&graph, &opts);
-    legacy.warmup(&p_legacy);
-    let per_tile = median_ns(graph_iters, || {
-        std::hint::black_box(legacy.run(&p_legacy));
+    let reference = GraphExecutor::reference();
+    let p_reference = reference.prepare(&graph, &opts);
+    let direct = median_ns(graph_iters, || {
+        std::hint::black_box(reference.run(&p_reference));
     });
     eprintln!(
-        "graph resnet20_int_e2e: tap-major+fusion {:.2} ms vs per-tile {:.2} ms ({:.2}x), \
+        "graph resnet20_int_e2e: tap-major+fusion {:.2} ms vs direct reference {:.2} ms ({:.2}x), \
          fused relus {}, tap scratch {} KiB",
         tap as f64 / 1e6,
-        per_tile as f64 / 1e6,
-        per_tile as f64 / tap.max(1) as f64,
+        direct as f64 / 1e6,
+        direct as f64 / tap.max(1) as f64,
         p_fused.fused_relu_count(),
         p_fused.scratch_bytes() / 1024,
     );
@@ -428,8 +428,9 @@ fn main() {
     let _ = writeln!(json, "  \"int_f4\": {{{}}},", int_rows.join(", "));
     let _ = writeln!(
         json,
-        "  \"graph\": {{\"resnet20_int_e2e\": {}}},",
-        json_pair(tap, per_tile)
+        "  \"graph\": {{\"resnet20_int_e2e\": {{\"tap_major_ns\": {tap}, \"reference_ns\": {direct}, \
+         \"speedup\": {:.2}}}}},",
+        direct as f64 / tap.max(1) as f64
     );
     let graph_phases = Phase::ALL
         .iter()

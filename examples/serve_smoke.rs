@@ -1,10 +1,11 @@
-//! Smoke-runs the batched inference server: a quantized ResNet-20 prepared
-//! once, warmed up (calibration frozen before workers start), then hit with
-//! 64 single-image requests from four client threads against a 2-worker
-//! pool. Asserts that every served output is bit-identical to the sequential
-//! quantized path and within the integer error bound of the direct-conv
-//! ground truth, that dynamic batching actually coalesced requests, and
-//! prints the latency/throughput stats table. Used as the CI serving check.
+//! Smoke-runs the batched serving pool: a quantized ResNet-20 prepared once,
+//! warmed up (calibration frozen before workers start), registered as the
+//! only model of a registry, then hit with 64 single-image requests from
+//! four client threads against a 2-worker pool. Asserts that every served
+//! output is bit-identical to the sequential quantized path and within the
+//! integer error bound of the direct-conv ground truth, that dynamic
+//! batching actually coalesced requests, and prints the latency/throughput
+//! stats table. Used as the CI serving check.
 //!
 //! ```sh
 //! cargo run --release --example serve_smoke
@@ -14,7 +15,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
 use winograd_tapwise::wino_nets::resnet20_graph;
-use winograd_tapwise::wino_serve::{BatchPolicy, InferenceServer, ServerConfig};
+use winograd_tapwise::wino_serve::{
+    AdmissionControl, BatchPolicy, ModelReply, ModelServeConfig, RegistryBuilder, RegistryServer,
+};
 use winograd_tapwise::wino_tensor::{normal, Tensor};
 
 const REQUESTS: usize = 64;
@@ -50,36 +53,42 @@ fn main() {
         })
         .collect();
 
-    let server = InferenceServer::start(
-        Arc::clone(&exec),
-        Arc::clone(&prepared),
-        ServerConfig {
-            workers: 2,
-            policy: BatchPolicy {
-                max_batch: 8,
-                max_wait: Duration::from_millis(2),
-            },
-            warmup: true, // no-op: calibrated above
-            restart_budget: 3,
+    let config = ModelServeConfig {
+        policy: BatchPolicy {
+            max_batch: 8,
+            max_wait: Duration::from_millis(2),
         },
-    );
+        // Every request is answered: nothing is refused or shed.
+        admission: AdmissionControl {
+            max_queue: REQUESTS,
+            deadline: Duration::from_secs(600),
+        },
+        ..ModelServeConfig::default()
+    };
+    let registry = RegistryBuilder::new()
+        .model("resnet20", Arc::clone(&exec), Arc::clone(&prepared), config)
+        .build();
+    let server = RegistryServer::start(Arc::clone(&registry), 2);
 
     // Four client threads hammer the queue concurrently so the scheduler
     // has something to coalesce.
     let handles: Vec<_> = cases
         .chunks(REQUESTS / CLIENTS)
         .map(|chunk| {
-            let client = server.client();
+            let registry = Arc::clone(&registry);
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 let pending: Vec<_> = chunk
                     .iter()
-                    .map(|(x, _, _)| client.submit(vec![x.clone()]))
+                    .map(|(x, _, _)| registry.submit("resnet20", vec![x.clone()]))
                     .collect();
                 pending
                     .into_iter()
                     .zip(chunk)
-                    .map(|(p, (_, quant, direct))| (p.wait(), quant, direct))
+                    .map(|(p, (_, quant, direct))| {
+                        let reply = p.expect("accepted").wait().and_then(ModelReply::ok);
+                        (reply.expect("served"), quant, direct)
+                    })
                     .collect::<Vec<_>>()
             })
         })
@@ -96,8 +105,9 @@ fn main() {
         }
     }
 
-    let report = server.shutdown();
-    print!("{}", report.render());
+    let multi = server.shutdown();
+    let report = multi.model("resnet20").expect("model report");
+    print!("{}{}", report.render(), multi.render());
     println!("worst served-vs-direct relative error: {worst_err:.4}");
 
     assert_eq!(report.requests, REQUESTS, "a request went unanswered");
@@ -110,8 +120,8 @@ fn main() {
     assert!(report.latency.p50 > Duration::ZERO);
     assert!(report.latency.p99 >= report.latency.p50);
     assert!(report.throughput_rps > 0.0);
-    assert_eq!(report.workers_reported, 2);
-    assert!(report.arena.runs >= report.batches);
+    assert_eq!(multi.pool.workers_reported, 2);
+    assert!(multi.pool.arena.runs >= report.batches);
     assert!(worst_err < 0.25, "served error {worst_err} out of bounds");
     println!("serve smoke OK");
 }

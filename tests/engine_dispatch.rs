@@ -6,10 +6,12 @@
 
 use winograd_tapwise::accel_sim::{simulate_network, AcceleratorConfig};
 use winograd_tapwise::wino_core::{
-    winograd_conv2d, ConvBackend, Engine, IntWinogradTapwiseBackend, NetworkExecutor, Planner,
-    TileSize, WinogradQuantConfig,
+    winograd_conv2d, ConvBackend, Engine, GraphExecutor, GraphRunOptions,
+    IntWinogradTapwiseBackend, Planner, TileSize, WinogradQuantConfig,
 };
-use winograd_tapwise::wino_nets::{resnet34, unet, Kernel, KernelChoice, LayerKind};
+use winograd_tapwise::wino_nets::{
+    resnet34, resnet34_graph, ssd_graph, unet, unet_graph, Kernel, KernelChoice, LayerKind,
+};
 use winograd_tapwise::wino_tensor::{conv2d_direct, normal, ConvParams};
 
 /// Randomized layer geometries: non-square inputs, padding 0/1, stride 1/2.
@@ -128,22 +130,41 @@ fn planner_is_consistent_with_simulator_selection() {
     }
 }
 
+/// ResNet-34, VGG (as the SSD backbone) and U-Net graphs through the graph
+/// executor: every node produces its inferred shape, and every conv node
+/// runs the backend of its planned kernel, with strided and 1×1 nodes on
+/// im2col.
 #[test]
 fn executor_runs_resnet_vgg_unet_inventories() {
-    use winograd_tapwise::wino_core::ExecutorOptions;
-    use winograd_tapwise::wino_nets::vgg_nagadomi;
-
-    let exec = NetworkExecutor::with_defaults();
-    let opts = ExecutorOptions::smoke();
-    for net in [resnet34(), vgg_nagadomi(), unet()] {
-        let run = exec.run(&net, &opts);
-        assert_eq!(run.layers.len(), net.layers.len(), "{}", net.name);
-        assert!(run.layers.iter().all(|l| l.checksum.is_finite()));
+    let exec = GraphExecutor::with_defaults();
+    let opts = GraphRunOptions::default();
+    for graph in [resnet34_graph(32), ssd_graph(160), unet_graph(16)] {
+        let graph = graph.with_channel_div(16);
+        let prepared = exec.prepare(&graph, &opts);
+        let run = exec.run(&prepared);
+        assert_eq!(run.nodes.len(), graph.nodes().len(), "{}", graph.name);
+        for (id, node) in run.nodes.iter().enumerate() {
+            let (c, h, w) = prepared.shapes()[id];
+            assert_eq!(node.output_dims, [opts.batch, c, h, w], "{}", node.name);
+            assert!(node.checksum.is_finite(), "{}", node.name);
+            if let Some(plan) = prepared.plan_for(id) {
+                let want = match plan.kernel {
+                    Kernel::Im2col => "im2col-gemm",
+                    Kernel::WinogradF2 => "winograd-f2",
+                    Kernel::WinogradF4 => "winograd-f4",
+                };
+                assert_eq!(node.backend, Some(want), "{} ran the wrong path", node.name);
+                if !plan.params.is_winograd_eligible() {
+                    assert_eq!(plan.kernel, Kernel::Im2col, "{}", node.name);
+                }
+            }
+        }
         let hist = run.kernel_histogram();
+        assert!(hist[0].1 > 0, "{} planned no im2col nodes", graph.name);
         assert!(
             hist[1].1 + hist[2].1 > 0,
-            "{} planned no Winograd layers",
-            net.name
+            "{} planned no Winograd nodes",
+            graph.name
         );
     }
 }

@@ -1,19 +1,23 @@
-//! The serving layer's end-to-end contract: worker threads sharing one
-//! prepared graph compute exactly the function the sequential path computes,
-//! the dynamic batcher actually coalesces, and calibration is frozen before
-//! any live request can race on it.
+//! The serving pool's end-to-end contract on a one-model registry: worker
+//! threads sharing one prepared graph compute exactly the function the
+//! sequential path computes, the dynamic batcher actually coalesces,
+//! calibration is frozen before any live request can race on it, and the
+//! report's latency percentiles are ordered. The pool's refusals, arena
+//! folding and multi-image slicing are unit-tested in the `wino_serve` crate.
 
 use std::sync::Arc;
 use std::time::Duration;
-use winograd_tapwise::wino_core::{GraphExecutor, GraphRunOptions, TileSize, WinogradQuantConfig};
+use winograd_tapwise::wino_core::{
+    GraphExecutor, GraphRunOptions, PreparedGraph, TileSize, WinogradQuantConfig,
+};
 use winograd_tapwise::wino_nets::resnet20_graph;
-use winograd_tapwise::wino_serve::{BatchPolicy, InferenceServer, ServerConfig};
+use winograd_tapwise::wino_serve::{
+    AdmissionControl, BatchPolicy, InferenceReply, ModelRegistry, ModelReply, ModelServeConfig,
+    RegistryBuilder, RegistryServer,
+};
 use winograd_tapwise::wino_tensor::{normal, Tensor};
 
-fn quantized_pair() -> (
-    Arc<GraphExecutor>,
-    Arc<winograd_tapwise::wino_core::PreparedGraph>,
-) {
+fn quantized_pair() -> (Arc<GraphExecutor>, Arc<PreparedGraph>) {
     let graph = resnet20_graph().with_channel_div(4);
     let exec = Arc::new(GraphExecutor::quantized(WinogradQuantConfig::tapwise_po2(
         TileSize::F4,
@@ -23,8 +27,43 @@ fn quantized_pair() -> (
     (exec, prepared)
 }
 
+/// A one-model registry named `"m"` and its worker pool. The deadline is far
+/// beyond any test's run time, so nothing is shed on a slow machine.
+fn serve(
+    exec: Arc<GraphExecutor>,
+    prepared: Arc<PreparedGraph>,
+    workers: usize,
+    policy: BatchPolicy,
+) -> (Arc<ModelRegistry>, RegistryServer) {
+    let config = ModelServeConfig {
+        policy,
+        admission: AdmissionControl {
+            max_queue: 64,
+            deadline: Duration::from_secs(600),
+        },
+        ..ModelServeConfig::default()
+    };
+    let registry = RegistryBuilder::new()
+        .model("m", exec, prepared, config)
+        .build();
+    let server = RegistryServer::start(Arc::clone(&registry), workers);
+    (registry, server)
+}
+
+fn infer(registry: &ModelRegistry, inputs: Vec<Tensor<f32>>) -> InferenceReply {
+    let reply = registry.submit("m", inputs).expect("accepted").wait();
+    reply.and_then(ModelReply::ok).expect("served")
+}
+
 fn probe(seed: u64) -> Tensor<f32> {
     normal(&[1, 1, 32, 32], 0.0, 1.0, seed)
+}
+
+fn one_ms(max_batch: usize) -> BatchPolicy {
+    BatchPolicy {
+        max_batch,
+        max_wait: Duration::from_millis(1),
+    }
 }
 
 /// The headline concurrency contract: N worker threads sharing one
@@ -33,7 +72,7 @@ fn probe(seed: u64) -> Tensor<f32> {
 #[test]
 fn concurrent_workers_match_the_sequential_path_bitwise() {
     let (exec, prepared) = quantized_pair();
-    // Freeze calibration first so the sequential reference and the server
+    // Freeze calibration first so the sequential reference and the pool
     // share one prepared state.
     exec.warmup(&prepared);
     let cases: Vec<(Tensor<f32>, Tensor<f32>)> = (0..24)
@@ -44,70 +83,60 @@ fn concurrent_workers_match_the_sequential_path_bitwise() {
         })
         .collect();
 
-    let server = InferenceServer::start(
-        Arc::clone(&exec),
-        Arc::clone(&prepared),
-        ServerConfig {
-            workers: 3,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(1),
-            },
-            warmup: true, // no-op: already calibrated above
-            restart_budget: 3,
-        },
-    );
+    let (registry, server) = serve(Arc::clone(&exec), Arc::clone(&prepared), 3, one_ms(4));
     // Hammer the queue from four client threads at once.
     let handles: Vec<_> = cases
         .chunks(6)
         .map(|chunk| {
-            let client = server.client();
+            let registry = Arc::clone(&registry);
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
-                chunk
+                let pending: Vec<_> = chunk
                     .into_iter()
-                    .map(|(x, want)| (client.submit(vec![x]), want))
-                    .map(|(pending, want)| (pending.wait(), want))
+                    .map(|(x, want)| (registry.submit("m", vec![x]).expect("accepted"), want))
+                    .collect();
+                pending
+                    .into_iter()
+                    .map(|(p, want)| (p.wait().and_then(ModelReply::ok), want))
                     .collect::<Vec<_>>()
             })
         })
         .collect();
     for h in handles {
         for (reply, want) in h.join().expect("client thread") {
+            let reply = reply.expect("served");
             assert_eq!(
                 reply.outputs[0].1, want,
                 "served output differs bitwise from the sequential reference"
             );
+            assert!(reply.latency > Duration::ZERO);
+            assert!(reply.batch_images >= 1);
         }
     }
     let report = server.shutdown();
-    assert_eq!(report.requests, 24);
-    assert_eq!(report.images, 24);
-    assert_eq!(report.workers_reported, 3);
+    let m = report.model("m").expect("model report");
+    assert_eq!(m.requests, 24);
+    assert_eq!(m.images, 24);
+    assert_eq!(report.pool.workers_reported, 3);
 }
 
-/// Starting a server on an uncalibrated quantized graph must calibrate it on
-/// the warmup batch before any worker can take a request.
+/// Registering an uncalibrated quantized graph must calibrate it on the
+/// warmup batch before any worker can take a request.
 #[test]
 fn server_startup_calibrates_before_serving() {
     let (exec, prepared) = quantized_pair();
     assert!(!prepared.is_calibrated(), "calibration must start lazy");
-    let server = InferenceServer::start(
-        Arc::clone(&exec),
-        Arc::clone(&prepared),
-        ServerConfig::default(),
-    );
+    let (registry, server) = serve(exec, Arc::clone(&prepared), 2, BatchPolicy::default());
     assert!(
-        server.prepared().is_calibrated(),
+        prepared.is_calibrated(),
         "workers started on an uncalibrated graph"
     );
     // And the live request path never re-calibrates: the same input twice is
     // bit-identical even with a loud batch in between.
-    let client = server.client();
     let x = probe(7);
-    let a = client.infer(vec![x.clone()]);
-    let _ = client.infer(vec![normal(&[1, 1, 32, 32], 0.0, 10.0, 8)]);
-    let b = client.infer(vec![x]);
+    let a = infer(&registry, vec![x.clone()]);
+    let _ = infer(&registry, vec![normal(&[1, 1, 32, 32], 0.0, 10.0, 8)]);
+    let b = infer(&registry, vec![x]);
     assert_eq!(a.outputs[0].1, b.outputs[0].1, "prepared state mutated");
     let _ = server.shutdown();
 }
@@ -117,29 +146,23 @@ fn server_startup_calibrates_before_serving() {
 #[test]
 fn bursty_load_coalesces_into_dynamic_batches() {
     let (exec, prepared) = quantized_pair();
-    let server = InferenceServer::start(
-        exec,
-        prepared,
-        ServerConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch: 4,
-                max_wait: Duration::from_millis(50),
-            },
-            warmup: true,
-            restart_budget: 3,
-        },
-    );
-    let client = server.client();
-    let pending: Vec<_> = (0..7).map(|i| client.submit(vec![probe(i)])).collect();
+    let policy = BatchPolicy {
+        max_batch: 4,
+        max_wait: Duration::from_millis(50),
+    };
+    let (registry, server) = serve(exec, prepared, 1, policy);
+    let pending: Vec<_> = (0..7)
+        .map(|i| registry.submit("m", vec![probe(i)]).expect("accepted"))
+        .collect();
     for p in pending {
-        let _ = p.wait();
+        assert!(p.wait().and_then(ModelReply::ok).is_some(), "not served");
     }
     let report = server.shutdown();
-    assert_eq!(report.images, 7);
-    assert_eq!(report.batch_histogram, vec![(3, 1), (4, 1)], "expected 4+3");
-    assert_eq!(report.max_batch_observed(), 4);
-    assert!(report.mean_batch > 1.0, "dynamic batching never coalesced");
+    let m = report.model("m").expect("model report");
+    assert_eq!(m.images, 7);
+    assert_eq!(m.batch_histogram, vec![(3, 1), (4, 1)], "expected 4+3");
+    assert_eq!(m.max_batch_observed(), 4);
+    assert!(m.mean_batch > 1.0, "dynamic batching never coalesced");
 }
 
 /// A partial batch must not wait forever: the deadline flushes it.
@@ -147,21 +170,12 @@ fn bursty_load_coalesces_into_dynamic_batches() {
 fn a_lone_request_is_flushed_by_the_deadline() {
     let (exec, prepared) = quantized_pair();
     let max_wait = Duration::from_millis(25);
-    let server = InferenceServer::start(
-        exec,
-        prepared,
-        ServerConfig {
-            workers: 1,
-            policy: BatchPolicy {
-                max_batch: 64,
-                max_wait,
-            },
-            warmup: true,
-            restart_budget: 3,
-        },
-    );
-    let client = server.client();
-    let reply = client.infer(vec![probe(3)]);
+    let policy = BatchPolicy {
+        max_batch: 64,
+        max_wait,
+    };
+    let (registry, server) = serve(exec, prepared, 1, policy);
+    let reply = infer(&registry, vec![probe(3)]);
     assert_eq!(reply.batch_images, 1);
     assert!(
         reply.latency >= max_wait,
@@ -169,8 +183,9 @@ fn a_lone_request_is_flushed_by_the_deadline() {
         reply.latency
     );
     let report = server.shutdown();
-    assert_eq!(report.batch_histogram, vec![(1, 1)]);
-    assert!(report.queue_wait.max >= max_wait);
+    let m = report.model("m").expect("model report");
+    assert_eq!(m.batch_histogram, vec![(1, 1)]);
+    assert!(m.queue_wait.max >= max_wait);
 }
 
 /// Per-request latency accounting covers queue wait plus run time, and the
@@ -178,18 +193,18 @@ fn a_lone_request_is_flushed_by_the_deadline() {
 #[test]
 fn latency_percentiles_are_ordered_and_positive() {
     let (exec, prepared) = quantized_pair();
-    let server = InferenceServer::start(exec, prepared, ServerConfig::default());
-    let client = server.client();
+    let (registry, server) = serve(exec, prepared, 2, BatchPolicy::default());
     for i in 0..16 {
-        let _ = client.infer(vec![probe(i)]);
+        let _ = infer(&registry, vec![probe(i)]);
     }
     let report = server.shutdown();
-    assert_eq!(report.requests, 16);
-    assert!(report.latency.p50 > Duration::ZERO);
-    assert!(report.latency.p50 <= report.latency.p95);
-    assert!(report.latency.p95 <= report.latency.p99);
-    assert!(report.latency.p99 <= report.latency.max);
-    assert!(report.throughput_rps > 0.0);
+    let m = report.model("m").expect("model report");
+    assert_eq!(m.requests, 16);
+    assert!(m.latency.p50 > Duration::ZERO);
+    assert!(m.latency.p50 <= m.latency.p95);
+    assert!(m.latency.p95 <= m.latency.p99);
+    assert!(m.latency.p99 <= m.latency.max);
+    assert!(m.throughput_rps > 0.0);
     // The synthesis cache snapshot rode along (warmup synthesized tensors).
-    assert!(report.synth.misses > 0);
+    assert!(m.synth.misses > 0);
 }
